@@ -22,7 +22,7 @@ adversarial-training epoch, eager vs ``Trainer(compile=True)``:
 (TRADES / MART / IB-RAR, whose side terms now run as in-plan nodes) to the
 third (default: ``BENCH_losses.json``), and a kernel-provider matrix
 (compiled eval replay throughput per registered provider — serial numpy
-vs threaded vs optional numba — with the speedup over numpy) to the fourth
+vs threaded — with the speedup over numpy) to the fourth
 (default: ``BENCH_provider.json``).  The CI quick-bench job uploads all
 of them as artifacts and *soft-fails* on compiled-path regressions: if a
 compiled mode is slower than its eager counterpart (< 1.0x) a GitHub

@@ -4,7 +4,9 @@ Every attack follows the Torchattacks convention the paper uses: it is
 constructed with a model and its hyperparameters and exposes
 ``attack(images, labels) -> adversarial_images`` on NumPy arrays.  Images are
 assumed to live in ``[0, 1]`` (the paper's eps = 8/255 and step = 2/255 are
-expressed in that range).  Gradients are obtained from the autograd engine.
+expressed in that range).  Gradients come from the autograd engine, or from
+an installed compiled view (:meth:`Attack.use_compiled`) that replays static
+plans for the same queries.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Tensor, get_default_dtype
+from ..compile.model import SeedFn, eager_jacobian, eager_vjp
+from ..nn import Tensor, get_default_dtype, no_grad
 from ..nn import functional as F
 from ..models.base import ImageClassifier
 
@@ -76,15 +79,18 @@ class Attack:
         self.clip_min = clip_min
         self.clip_max = clip_max
         self.loss_fn = loss_fn or _default_loss
-        #: optional :class:`repro.compile.CompiledModel` driving the attack's
-        #: gradient queries through a static plan.  Installed via
+        #: optional compiled view (:class:`repro.compile.CompiledModel` or
+        #: :class:`~repro.compile.training.LiveEvalModel`) answering the
+        #: attack's model queries from static plans.  Installed via
         #: :meth:`use_compiled` (the engine does this for ``compile=True``
-        #: runs); only honoured while the loss is the default cross-entropy,
-        #: since that is the loss the compiled plan fuses.
+        #: runs).  Forwards, logits-seeded gradients and Jacobians always
+        #: use it; :meth:`_input_gradient` uses it only for the default
+        #: cross-entropy loss, the one loss the plan fuses (a custom
+        #: ``loss_fn`` such as the adaptive IB attack's stays eager).
         self._compiled = None
 
     def use_compiled(self, compiled) -> "Attack":
-        """Route default-loss gradient queries through a compiled plan."""
+        """Route model queries through a compiled view (``None`` clears it)."""
         self._compiled = compiled
         return self
 
@@ -107,22 +113,34 @@ class Attack:
             raise RuntimeError("attack loss produced no input gradient")
         return x.grad, float(loss.item())
 
-    def _logits_and_gradients_per_class(
-        self, images: np.ndarray, class_indices: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Logit values and input gradients of one selected logit per example.
+    def _logits(self, images: np.ndarray) -> np.ndarray:
+        """Logits of a forward-only pass (plan-owned when compiled)."""
+        if self._compiled is not None:
+            return self._compiled(images)
+        with no_grad():
+            return self.model.forward(Tensor(images)).data
 
-        Used by the decision-boundary attacks (FAB).  ``class_indices`` picks,
-        for each example, the logit whose gradient is needed.
+    def _logits_and_vjp(
+        self, images: np.ndarray, seed_fn: SeedFn
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Logits and the input gradient of the loss whose logits gradient is
+        ``seed_fn(logits)`` — one forward and one backward.
+
+        Both arrays may be plan-owned: consume them before the next query.
         """
-        x = Tensor(images, requires_grad=True)
-        logits = self.model.forward(x)
-        n = images.shape[0]
-        mask = np.zeros_like(logits.data)
-        mask[np.arange(n), class_indices] = 1.0
-        selected = (logits * Tensor(mask)).sum()
-        selected.backward()
-        return logits.data.copy(), x.grad.copy()
+        if self._compiled is not None:
+            return self._compiled.vjp(images, seed_fn)
+        return eager_vjp(self.model, images, seed_fn)
+
+    def _logits_and_jacobian(self, images: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Logits ``(N, K)`` and every logit's input gradient ``(K, N, *image)``.
+
+        Row ``k`` of the Jacobian is the backward of the one-hot seed
+        ``e_k``; compiled, that is one forward and ``K`` backward replays.
+        """
+        if self._compiled is not None:
+            return self._compiled.jacobian(images)
+        return eager_jacobian(self.model, images)
 
     def _project(self, adversarial: np.ndarray, original: np.ndarray) -> np.ndarray:
         """Project onto the L_inf ball around ``original`` and the valid range."""

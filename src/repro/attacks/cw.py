@@ -16,11 +16,8 @@ Torchattacks behaviour of always returning a perturbed image.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..nn import Tensor
 from ..models.base import ImageClassifier
 from .base import Attack
 
@@ -55,6 +52,25 @@ class CW(Attack):
         self.steps = steps
         self.lr = lr
 
+    def _margin_seed(self, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """``d/dlogits`` of ``c * f`` summed over the batch.
+
+        Matches autograd on the loss as written: ties in the best-other
+        ``max`` share its gradient evenly, and the hinge passes gradient at
+        exactly ``f = 0``.
+        """
+        n = len(labels)
+        one_hot = np.zeros_like(logits)
+        one_hot[np.arange(n), labels] = 1.0
+        shifted = logits + one_hot * (-1e4)
+        other = shifted.max(axis=1, keepdims=True)
+        real = logits[np.arange(n), labels][:, None]
+        # Untargeted: push the true-class logit below the best other logit.
+        active = (real - other + self.kappa) >= 0.0
+        weight = self.c * active
+        ties = shifted == other
+        return one_hot * weight - ties * weight / ties.sum(axis=1, keepdims=True)
+
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         n = images.shape[0]
         span = self.clip_max - self.clip_min
@@ -70,30 +86,22 @@ class CW(Attack):
         v = np.zeros_like(w)
         beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
 
-        one_hot = np.zeros((n, self.model.num_classes))
-        one_hot[np.arange(n), labels] = 1.0
+        def seed_fn(logits: np.ndarray) -> np.ndarray:
+            return self._margin_seed(logits, labels)
 
         for step in range(1, self.steps + 1):
-            w_tensor = Tensor(w, requires_grad=True)
-            adv = (w_tensor.tanh() + 1.0) * (span / 2.0) + self.clip_min
-            logits = self.model.forward(adv)
-
-            real = (logits * Tensor(one_hot)).sum(axis=1)
-            other = (logits + Tensor(one_hot * (-1e4))).max(axis=1)
-            # Untargeted: push the true-class logit below the best other logit.
-            f_term = (real - other + self.kappa).maximum(0.0)
-            l2 = ((adv - Tensor(images)) ** 2).sum(axis=(1, 2, 3))
-            loss = (l2 + f_term * self.c).sum()
-            loss.backward()
-            gradient = w_tensor.grad
+            tanh_w = np.tanh(w)
+            adv = (tanh_w + 1.0) * (span / 2.0) + self.clip_min
+            logits, logits_grad = self._logits_and_vjp(adv, seed_fn)
+            predictions = np.argmax(logits, axis=1)
+            # Chain rule of sum(||adv - x||^2 + c * f) through adv = tanh-space map of w.
+            gradient = (2.0 * (adv - images) + logits_grad) * (span / 2.0) * (1.0 - tanh_w ** 2)
 
             # Track the best adversarial examples so far.
-            adv_np = adv.data
-            predictions = np.argmax(logits.data, axis=1)
-            l2_np = ((adv_np - images) ** 2).sum(axis=(1, 2, 3))
-            improved = (predictions != labels) & (l2_np < best_l2)
-            best_l2[improved] = l2_np[improved]
-            best_adv[improved] = adv_np[improved]
+            l2 = ((adv - images) ** 2).sum(axis=(1, 2, 3))
+            improved = (predictions != labels) & (l2 < best_l2)
+            best_l2[improved] = l2[improved]
+            best_adv[improved] = adv[improved]
 
             m = beta1 * m + (1 - beta1) * gradient
             v = beta2 * v + (1 - beta2) * gradient * gradient

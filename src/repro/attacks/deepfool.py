@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor, no_grad
 from ..models.base import ImageClassifier
 from .base import Attack
 
@@ -39,32 +38,16 @@ class DeepFool(Attack):
         self.steps = steps
         self.overshoot = overshoot
 
-    def _class_gradients(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits and per-class input gradients for a single image."""
-        num_classes = self.model.num_classes
-        gradients = np.zeros((num_classes,) + image.shape)
-        logits_out = None
-        for class_index in range(num_classes):
-            x = Tensor(image[None], requires_grad=True)
-            logits = self.model.forward(x)
-            mask = np.zeros_like(logits.data)
-            mask[:, class_index] = 1.0
-            (logits * Tensor(mask)).sum().backward()
-            gradients[class_index] = x.grad[0]
-            logits_out = logits.data[0]
-        return logits_out, gradients
-
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         adversarial = images.copy()
         for i in range(len(images)):
             current = images[i].copy()
             original_label = labels[i]
             for _ in range(self.steps):
-                with no_grad():
-                    prediction = self.model.predict(Tensor(current[None]))[0]
-                if prediction != original_label:
+                logits, jacobian = self._logits_and_jacobian(current[None])
+                logits, gradients = logits[0], jacobian[:, 0]
+                if np.argmax(logits) != original_label:
                     break
-                logits, gradients = self._class_gradients(current)
                 margins = logits - logits[original_label]
                 gradient_diffs = gradients - gradients[original_label]
                 norms = np.sqrt((gradient_diffs.reshape(len(margins), -1) ** 2).sum(axis=1))

@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from ..models.base import ImageClassifier, predict_batched as _predict_batched
 from ..obs import trace as _trace
 from ..obs.registry import get_registry
@@ -259,14 +259,25 @@ class ForwardPassCounter:
             self._previous = None
 
 
+#: AttackTelemetry's compiled counters, in ``CompiledStats.snapshot()`` order.
+_COMPILED_FIELDS = (
+    "compiled_forward_calls", "compiled_grad_calls", "compiled_vjp_calls", "compiled_fallbacks",
+)
+
+
 @dataclass
 class AttackTelemetry:
     """Per-attack accounting recorded by :class:`AttackEngine`.
 
     ``forward_calls`` / ``forward_examples`` count *eager* model passes
     (including eager fallbacks inside a compiled run); the ``compiled_*``
-    fields count static-plan replays, and ``compiled_fallbacks`` how often a
-    compiled run had to fall back to eager (unseen shapes past the plan
+    fields count static-plan replays: ``compiled_forward_calls`` plan
+    forwards outside the fused-CE path (predictions, and the one forward of
+    every ``vjp``/``jacobian`` query), ``compiled_grad_calls`` fused
+    cross-entropy ``value_and_grad`` replays, ``compiled_vjp_calls`` the
+    logits-seeded input-only backward replays of CW (one per step), FAB and
+    DeepFool (one per class per step), and ``compiled_fallbacks`` how often
+    a compiled run had to fall back to eager (unseen shapes past the plan
     budget, unsupported losses).
     """
 
@@ -279,6 +290,7 @@ class AttackTelemetry:
     accuracy: float
     compiled_forward_calls: int = 0
     compiled_grad_calls: int = 0
+    compiled_vjp_calls: int = 0
     compiled_fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
@@ -292,6 +304,7 @@ class AttackTelemetry:
             "accuracy": self.accuracy,
             "compiled_forward_calls": self.compiled_forward_calls,
             "compiled_grad_calls": self.compiled_grad_calls,
+            "compiled_vjp_calls": self.compiled_vjp_calls,
             "compiled_fallbacks": self.compiled_fallbacks,
         }
 
@@ -301,7 +314,7 @@ class AttackTelemetry:
             "name", "examples_attacked", "examples_skipped",
             "forward_calls", "forward_examples", "seconds", "accuracy",
         )}
-        for key in ("compiled_forward_calls", "compiled_grad_calls", "compiled_fallbacks"):
+        for key in _COMPILED_FIELDS:
             kwargs[key] = data.get(key, 0)
         return cls(**kwargs)
 
@@ -327,11 +340,17 @@ class AttackTelemetry:
         registry.counter("attack.compiled_grad_calls", labels).inc(
             self.compiled_grad_calls
         )
+        registry.counter("attack.compiled_vjp_calls", labels).inc(self.compiled_vjp_calls)
         registry.counter("attack.compiled_fallbacks", labels).inc(
             self.compiled_fallbacks
         )
         registry.gauge("attack.accuracy", labels).set(self.accuracy)
         return self
+
+
+def _compiled_delta(before: Tuple[int, ...], after: Tuple[int, ...]) -> Dict[str, int]:
+    """AttackTelemetry's ``compiled_*`` fields from two ``CompiledStats.snapshot()``s."""
+    return {key: b - a for key, a, b in zip(_COMPILED_FIELDS, before, after)}
 
 
 @dataclass
@@ -583,8 +602,8 @@ class AttackEngine:
             ]
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-        def compiled_snapshot() -> Tuple[int, int, int]:
-            return compiled.stats.snapshot() if compiled is not None else (0, 0, 0)
+        def compiled_snapshot() -> Tuple[int, int, int, int]:
+            return compiled.stats.snapshot() if compiled is not None else (0, 0, 0, 0)
 
         counter = ForwardPassCounter(model)
         telemetry: List[AttackTelemetry] = []
@@ -639,9 +658,7 @@ class AttackEngine:
                     forward_examples=counter.examples,
                     seconds=time.perf_counter() - start_time,
                     accuracy=natural,
-                    compiled_forward_calls=compiled_after[0] - compiled_before[0],
-                    compiled_grad_calls=compiled_after[1] - compiled_before[1],
-                    compiled_fallbacks=compiled_after[2] - compiled_before[2],
+                    **_compiled_delta(compiled_before, compiled_after),
                 ).publish()
             )
 
@@ -687,9 +704,7 @@ class AttackEngine:
                         forward_examples=examples_after - examples_before,
                         seconds=time.perf_counter() - attack_start,
                         accuracy=accuracy,
-                        compiled_forward_calls=compiled_after[0] - compiled_before[0],
-                        compiled_grad_calls=compiled_after[1] - compiled_before[1],
-                        compiled_fallbacks=compiled_after[2] - compiled_before[2],
+                        **_compiled_delta(compiled_before, compiled_after),
                     ).publish()
                 )
         return EngineResult(
@@ -744,11 +759,7 @@ class EnsembleAttack(Attack):
 
     def _margins(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """True-class margin per example (negative means misclassified)."""
-        if self._compiled is not None:
-            logits = self._compiled(images)
-        else:
-            with no_grad():
-                logits = self.model.forward(Tensor(images)).data
+        logits = self._logits(images)
         true_logit = logits[np.arange(len(labels)), labels]
         masked = logits.copy()
         masked[np.arange(len(labels)), labels] = -np.inf

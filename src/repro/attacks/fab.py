@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor
 from ..models.base import ImageClassifier
 from .base import Attack
 
@@ -56,34 +55,16 @@ class FAB(Attack):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
 
-    def _logits_and_full_jacobian(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Logits and per-class input gradients, via one backward pass per class.
-
-        Returns ``(logits, jacobian)`` with ``jacobian`` of shape
-        ``(num_classes, N, C, H, W)``.
-        """
-        num_classes = self.model.num_classes
-        n = images.shape[0]
-        jacobian = np.zeros((num_classes,) + images.shape)
-        logits_out = None
-        for class_index in range(num_classes):
-            x = Tensor(images, requires_grad=True)
-            logits = self.model.forward(x)
-            mask = np.zeros_like(logits.data)
-            mask[:, class_index] = 1.0
-            (logits * Tensor(mask)).sum().backward()
-            jacobian[class_index] = x.grad
-            logits_out = logits.data
-        return logits_out, jacobian
-
     def _generate(self, images: np.ndarray, labels: np.ndarray) -> np.ndarray:
         n = images.shape[0]
+        rows = np.arange(n)
         adversarial = images.copy()
         best = images.copy()
         best_distance = np.full(n, np.inf)
+        original = images.reshape(n, -1)
 
         for _ in range(self.steps):
-            logits, jacobian = self._logits_and_full_jacobian(adversarial)
+            logits, jacobian = self._logits_and_jacobian(adversarial)
             predictions = np.argmax(logits, axis=1)
 
             # Record currently-misclassified iterates with the smallest distortion.
@@ -92,40 +73,34 @@ class FAB(Attack):
             best_distance[improved] = distances[improved]
             best[improved] = adversarial[improved]
 
-            flat_dim = int(np.prod(images.shape[1:]))
-            for i in range(n):
-                y = labels[i]
-                # Difference functions f_k = Z_k - Z_y, linearized at the iterate.
-                margins = logits[i] - logits[i, y]
-                gradients = jacobian[:, i] - jacobian[y, i]
-                grad_l1 = np.abs(gradients).reshape(self.model.num_classes, -1).sum(axis=1)
-                grad_l1[y] = np.inf
-                # Distance to each linearized boundary in the L_inf metric
-                # is |f_k| / ||grad f_k||_1.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    boundary_distance = np.abs(margins) / np.maximum(grad_l1, 1e-12)
-                boundary_distance[y] = np.inf
-                target = int(np.argmin(boundary_distance))
+            # Difference functions f_k = Z_k - Z_y, linearized at the iterate:
+            # margins (N, K) and gradients (K, N, D).
+            margins = logits - logits[rows, labels][:, None]
+            flat = jacobian.reshape(jacobian.shape[0], n, -1)
+            gradients = flat - flat[labels, rows][None]
+            grad_l1 = np.abs(gradients).sum(axis=2)
+            grad_l1[labels, rows] = np.inf
+            # Distance to each linearized boundary in the L_inf metric
+            # is |f_k| / ||grad f_k||_1.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                boundary_distance = np.abs(margins) / np.maximum(grad_l1.T, 1e-12)
+            boundary_distance[rows, labels] = np.inf
+            target = np.argmin(boundary_distance, axis=1)
 
-                g = gradients[target].reshape(-1)
-                f_val = margins[target]
-                denom = max(np.abs(g).sum(), 1e-12)
-                # Minimal L_inf projection onto the hyperplane f + g . delta = 0
-                # moves every coordinate by the same magnitude along sign(g).
-                step_size = max(-f_val, 0.0) / denom if f_val < 0 else (-f_val) / denom
-                delta = self.eta * step_size * np.sign(g)
-                candidate = adversarial[i].reshape(-1) + delta
+            g = gradients[target, rows]
+            f_val = margins[rows, target]
+            denom = np.maximum(np.abs(g).sum(axis=1), 1e-12)
+            # Minimal L_inf projection onto the hyperplane f + g . delta = 0
+            # moves every coordinate by the same magnitude along sign(g).
+            step_size = -f_val / denom
+            candidate = adversarial.reshape(n, -1) + (self.eta * step_size)[:, None] * np.sign(g)
 
-                # Backward step: bias toward the original image (FAB's beta step).
-                original = images[i].reshape(-1)
-                candidate = self.beta * candidate + (1.0 - self.beta) * original
-                adversarial[i] = candidate.reshape(images.shape[1:])
-
-            adversarial = self._project(adversarial, images)
+            # Backward step: bias toward the original image (FAB's beta step).
+            candidate = self.beta * candidate + (1.0 - self.beta) * original
+            adversarial = self._project(candidate.reshape(images.shape), images)
 
         # Final bookkeeping with the last iterate.
-        logits_final = self.model.forward(Tensor(adversarial)).data
-        predictions = np.argmax(logits_final, axis=1)
+        predictions = np.argmax(self._logits(adversarial), axis=1)
         distances = np.abs(adversarial - images).reshape(n, -1).max(axis=1)
         improved = (predictions != labels) & (distances < best_distance)
         best[improved] = adversarial[improved]

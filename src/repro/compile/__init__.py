@@ -33,22 +33,24 @@ store so grid workers share one trace per signature.
 Entry points:
 
 * ``model.compile(sample_input)`` / :func:`compile_model` — returns a
-  :class:`CompiledModel` with ``__call__`` (logits), ``predict`` and
-  ``value_and_grad(x, y)`` (fused cross-entropy), with automatic eager
-  fallback for unseen shapes, training mode, or uncompilable graphs.
+  :class:`CompiledModel` with ``__call__`` (logits), ``predict``,
+  ``value_and_grad(x, y)`` (fused cross-entropy), ``vjp(x, seed_fn)`` (any
+  logits seed) and ``jacobian(x)`` (one backward per class), with automatic
+  eager fallback (:func:`eager_vjp` / :func:`eager_jacobian`) for unseen
+  shapes, training mode, or uncompilable graphs.
 * ``AttackEngine(..., compile=True)`` / ``evaluate_robustness(...,
   compile=True)`` / ``ExperimentSpec(eval_compile=True)`` — opt the
   evaluation stack in; PGD-family attacks pick the compiled
-  ``value_and_grad`` up automatically and telemetry reports compiled vs
-  eager pass counts.
+  ``value_and_grad`` up automatically, CW ``vjp`` and FAB/DeepFool
+  ``jacobian``, and telemetry reports compiled vs eager pass counts.
 * ``Trainer(compile=True)`` / ``ExperimentSpec(train_compile=True)`` — opt
   the training loop in; per-batch eager fallback keeps it always safe and
   ``TrainingHistory.compile_stats`` reports the split.
 * :mod:`repro.compile.kernels` — fused sign/step/project elementwise chains
   shared by the FGSM/PGD/NIFGSM/MIFGSM update rules.
 * :mod:`repro.compile.backends` — the kernel-provider registry behind every
-  plan: ``numpy`` (serial reference), ``threaded`` (worker-pool row
-  sharding), optional ``numba`` (JIT elementwise chains).  Select with
+  plan: ``numpy`` (serial reference) and ``threaded`` (worker-pool row
+  sharding).  Select with
   ``REPRO_PROVIDER``, :func:`use_provider`, or the ``provider=`` argument
   on ``compile_model`` / ``CompiledTrainer`` / ``Trainer`` /
   ``ExperimentSpec``; unsupported ops fall back per op to the reference.
@@ -66,7 +68,7 @@ from .cache import SignatureCache
 from .graph import CompileError, Graph, Node, capture_forward
 from .executor import Plan
 from .kernels import GramCache, linf_step, lookahead_point
-from .model import CompiledModel, CompiledStats, compile_model
+from .model import CompiledModel, CompiledStats, compile_model, eager_jacobian, eager_vjp
 from .passes import lower_to_eval, optimize
 from .pool import BufferPool
 from .training import CompiledTrainer, TrainingCompileStats
@@ -87,6 +89,8 @@ __all__ = [
     "available_providers",
     "capture_forward",
     "compile_model",
+    "eager_jacobian",
+    "eager_vjp",
     "get_provider",
     "linf_step",
     "lookahead_point",

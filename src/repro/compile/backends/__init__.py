@@ -1,9 +1,8 @@
 """Kernel providers: pluggable executors behind one plan IR.
 
 See :mod:`.base` for the registry/selection machinery, :mod:`.reference`
-for the serial baseline kernels, :mod:`.threaded` for the worker-pool
-provider, and :mod:`.numba_backend` for the optional JIT provider (only
-registered when ``numba`` is importable — never a hard dependency).
+for the serial baseline kernels and :mod:`.threaded` for the worker-pool
+provider.
 """
 
 from __future__ import annotations
@@ -24,13 +23,6 @@ from .threaded import ThreadedProvider, WorkerPool
 register_provider(NumpyProvider())
 register_provider(ThreadedProvider())
 
-try:  # optional JIT provider — absent numba just narrows the registry
-    from .numba_backend import NumbaProvider
-except ImportError:  # pragma: no cover - depends on environment
-    NumbaProvider = None  # type: ignore[assignment]
-else:
-    register_provider(NumbaProvider())
-
 __all__ = [
     "DEFAULT_PROVIDER",
     "PROVIDER_ENV",
@@ -38,7 +30,6 @@ __all__ = [
     "NumpyProvider",
     "ThreadedProvider",
     "WorkerPool",
-    "NumbaProvider",
     "available_providers",
     "get_provider",
     "register_provider",

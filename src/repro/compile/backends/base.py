@@ -19,8 +19,7 @@ Selection is by name, resolved at plan construction:
 * else ``"numpy"``.
 
 Providers register under a name via :func:`register_provider`; the
-``threaded`` worker-pool provider and (when importable) the ``numba`` JIT
-provider are registered at package import.
+``threaded`` worker-pool provider is registered at package import.
 """
 
 from __future__ import annotations

@@ -523,6 +523,34 @@ class Plan:
         loss, seed = self.ce_loss_and_seed(labels)
         return loss, self.backward(seed)
 
+    def vjp(
+        self, x: np.ndarray, seed_fn: Callable[[np.ndarray], np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(logits, input_grad)`` for the logits seed ``seed_fn(logits)``.
+
+        One forward and one input-only backward; both arrays are plan-owned,
+        so consume them before the next replay.
+        """
+        logits = self.forward(x)
+        return logits, self.backward(seed_fn(logits))
+
+    def jacobian(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Logits ``(N, K)`` and their input Jacobian ``(K, N, *input)``.
+
+        One forward, then one input-only backward per class ``k`` seeded
+        with the one-hot column ``e_k`` over the same pooled forward values.
+        Both results are copies the caller owns.
+        """
+        logits = self.forward(x)
+        n, k = logits.shape
+        jacobian = np.empty((k,) + tuple(self.input_shape), dtype=self.input_dtype)
+        seed = np.zeros((n, k), dtype=logits.dtype)
+        for column in range(k):
+            seed[:, column] = 1.0
+            np.copyto(jacobian[column], self.backward(seed))
+            seed[:, column] = 0.0
+        return logits.copy(), jacobian
+
 
 # --------------------------------------------------------------------------- #
 # forward binders: node -> (step callable | None, output array)

@@ -6,19 +6,25 @@ forward once, optimizes it and binds it to buffers; the resulting
 captured ``(shape, dtype)`` signature.  Unseen shapes (the ragged last batch
 of an evaluation, shrinking early-exit attack batches) are compiled on the
 fly up to ``max_plans`` signatures; beyond that — or when capture/planning
-fails, the module is in training mode, or a non-CE loss is requested — the
-call **falls back to eager execution**, so opting in is always safe.
-:attr:`CompiledModel.stats` counts compiled vs eager passes; the attack
-engine surfaces those counters as telemetry.
+fails or the module is in training mode — the call **falls back to eager
+execution**, so opting in is always safe.  Besides forward replays, a view
+answers three gradient queries, each one forward plus input-only backward
+replays: ``value_and_grad`` (fused cross-entropy, the PGD family), ``vjp``
+(any logits seed, e.g. CW's margin loss) and ``jacobian`` (one backward per
+class, FAB and DeepFool).  :func:`eager_vjp` and :func:`eager_jacobian` are
+their autograd references and the fallbacks.  :attr:`CompiledModel.stats`
+counts compiled vs eager passes; the attack engine surfaces those counters
+as telemetry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..nn import functional as F
 from ..nn.tensor import Tensor, get_default_dtype, no_grad
 from .backends import resolve_provider_name
 from .cache import SignatureCache
@@ -27,24 +33,34 @@ from .graph import CompileError, capture_forward
 from .passes import optimize
 from .pool import BufferPool
 
-__all__ = ["CompiledModel", "CompiledStats", "compile_model"]
+__all__ = ["CompiledModel", "CompiledStats", "compile_model", "eager_jacobian", "eager_vjp"]
+
+#: ``seed_fn(logits) -> dLoss/dlogits`` for :meth:`CompiledModel.vjp`.
+SeedFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
 class CompiledStats:
-    """Compiled-vs-eager pass accounting for one :class:`CompiledModel`."""
+    """Compiled-vs-eager pass accounting for one :class:`CompiledModel`.
+
+    ``forward_calls`` counts plan forward replays (a ``vjp`` or ``jacobian``
+    call replays one); ``grad_calls`` counts fused cross-entropy
+    ``value_and_grad`` replays only; ``vjp_calls`` counts the input-only
+    backward replays of ``vjp`` (one) and ``jacobian`` (one per class).
+    """
 
     plans_built: int = 0
     forward_calls: int = 0
     forward_examples: int = 0
     grad_calls: int = 0
     grad_examples: int = 0
+    vjp_calls: int = 0
     fallback_calls: int = 0
     fallback_examples: int = 0
 
-    def snapshot(self) -> Tuple[int, int, int]:
-        """``(forward_calls, grad_calls, fallback_calls)`` — diff across a block."""
-        return self.forward_calls, self.grad_calls, self.fallback_calls
+    def snapshot(self) -> Tuple[int, int, int, int]:
+        """``(forward_calls, grad_calls, vjp_calls, fallback_calls)`` — diff across a block."""
+        return self.forward_calls, self.grad_calls, self.vjp_calls, self.fallback_calls
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -53,9 +69,42 @@ class CompiledStats:
             "forward_examples": self.forward_examples,
             "grad_calls": self.grad_calls,
             "grad_examples": self.grad_examples,
+            "vjp_calls": self.vjp_calls,
             "fallback_calls": self.fallback_calls,
             "fallback_examples": self.fallback_examples,
         }
+
+
+def eager_vjp(module, x: np.ndarray, seed_fn: SeedFn) -> Tuple[np.ndarray, np.ndarray]:
+    """Autograd reference of :meth:`CompiledModel.vjp`: ``(logits, input_grad)``."""
+    x_t = Tensor(x, requires_grad=True)
+    logits = module.forward(x_t)
+    logits.backward(seed_fn(logits.data))
+    return logits.data, x_t.grad
+
+
+def eager_jacobian(module, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Autograd reference of :meth:`CompiledModel.jacobian`.
+
+    One forward and backward per class, each seeded with the one-hot
+    column ``e_k``; returns logits ``(N, K)`` and the Jacobian
+    ``(K, N, *input)``.
+    """
+
+    def backward_from(column: int) -> Tuple[np.ndarray, np.ndarray]:
+        x_t = Tensor(x, requires_grad=True)
+        logits = module.forward(x_t)
+        seed = np.zeros_like(logits.data)
+        seed[:, column] = 1.0
+        logits.backward(seed)
+        return logits.data, x_t.grad
+
+    logits, grad = backward_from(0)
+    jacobian = np.empty((logits.shape[1],) + grad.shape, dtype=grad.dtype)
+    jacobian[0] = grad
+    for column in range(1, logits.shape[1]):
+        jacobian[column] = backward_from(column)[1]
+    return logits, jacobian
 
 
 class CompiledModel:
@@ -222,6 +271,32 @@ class CompiledModel:
         """Hard class predictions (argmax over :meth:`__call__` logits)."""
         return np.argmax(self(x), axis=1)
 
+    def _replay_grad(self, arr: np.ndarray, replay, eager):
+        """``replay(plan)`` when a gradient plan serves ``arr``, else ``eager()``.
+
+        Training mode always runs eagerly.  A plan that forwards but cannot
+        backward (e.g. a detach on the only input path) will never succeed;
+        its signature is remembered so later gradient queries skip the
+        wasted compiled forward while the plan stays alive for forward-only
+        use.
+        """
+        plan = None
+        if not self.module.training and self._key(arr) not in self._grad_failed:
+            plan = self._plan_for(arr)
+        if plan is not None:
+            try:
+                return replay(plan)
+            except CompileError:
+                self._grad_failed.add(self._key(arr))
+        self.stats.fallback_calls += 1
+        self.stats.fallback_examples += len(arr)
+        return eager()
+
+    def _count_vjp(self, arr: np.ndarray, backwards: int) -> None:
+        self.stats.forward_calls += 1
+        self.stats.forward_examples += len(arr)
+        self.stats.vjp_calls += backwards
+
     def value_and_grad(self, x, labels, loss: str = "ce") -> Tuple[float, np.ndarray]:
         """Loss value and input gradient for a batch.
 
@@ -231,34 +306,56 @@ class CompiledModel:
         falls back to the eager cross-entropy graph.  The returned gradient
         is plan-owned: consume it before the next compiled call.
         """
-        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        plan = None
-        if loss == "ce" and not self.module.training and self._key(arr) not in self._grad_failed:
-            plan = self._plan_for(arr)
-        if plan is not None:
-            try:
-                self.stats.grad_calls += 1
-                self.stats.grad_examples += len(arr)
-                return plan.value_and_grad_ce(arr, labels)
-            except CompileError:
-                self.stats.grad_calls -= 1
-                self.stats.grad_examples -= len(arr)
-                # A plan that forwards but cannot backward (e.g. a detach on
-                # the only input path) will never succeed here; remember the
-                # failure so later calls skip the wasted compiled forward
-                # while keeping the plan alive for forward-only use.
-                self._grad_failed.add(self._key(arr))
         if loss != "ce":
             raise ValueError(f"unknown compiled loss '{loss}'; supported: 'ce'")
-        self.stats.fallback_calls += 1
-        self.stats.fallback_examples += len(arr)
-        from ..nn import functional as F
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
 
-        x_t = Tensor(arr, requires_grad=True)
-        loss_t = F.cross_entropy(self.module.forward(x_t), labels)
-        loss_t.backward()
-        return float(loss_t.item()), x_t.grad
+        def replay(plan: Plan):
+            result = plan.value_and_grad_ce(arr, labels)
+            self.stats.grad_calls += 1
+            self.stats.grad_examples += len(arr)
+            return result
+
+        def eager():
+            x_t = Tensor(arr, requires_grad=True)
+            loss_t = F.cross_entropy(self.module.forward(x_t), labels)
+            loss_t.backward()
+            return float(loss_t.item()), x_t.grad
+
+        return self._replay_grad(arr, replay, eager)
+
+    def vjp(self, x, seed_fn: SeedFn) -> Tuple[np.ndarray, np.ndarray]:
+        """``(logits, input_grad)`` of the loss whose logits gradient is ``seed_fn(logits)``.
+
+        One forward replay and one input-only backward replay.  Falls back
+        to :func:`eager_vjp` exactly when :meth:`value_and_grad` falls back.
+        Both arrays may be plan-owned: consume them before the next call.
+        """
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+
+        def replay(plan: Plan):
+            result = plan.vjp(arr, seed_fn)
+            self._count_vjp(arr, 1)
+            return result
+
+        return self._replay_grad(arr, replay, lambda: eager_vjp(self.module, arr, seed_fn))
+
+    def jacobian(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """Logits ``(N, K)`` and the input Jacobian ``(K, N, *input)`` (owned copies).
+
+        One forward replay and ``K`` input-only backward replays seeded
+        ``e_k``.  Falls back to :func:`eager_jacobian` exactly when
+        :meth:`value_and_grad` falls back.
+        """
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+
+        def replay(plan: Plan):
+            result = plan.jacobian(arr)
+            self._count_vjp(arr, len(result[1]))
+            return result
+
+        return self._replay_grad(arr, replay, lambda: eager_jacobian(self.module, arr))
 
     def __repr__(self) -> str:
         return (

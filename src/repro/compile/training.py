@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.tensor import Tensor, get_default_dtype
+from ..nn.tensor import Tensor, get_default_dtype, no_grad
 from ..nn import functional as F
 from ..obs import trace as _trace
 from ..obs.profiler import merge_snapshot as _merge_snapshot
@@ -58,6 +58,7 @@ from .cache import SignatureCache
 from .executor import Plan
 from .graph import CompileError, Graph, capture_forward
 from .kernels import GramCache, linf_step
+from .model import eager_jacobian, eager_vjp
 from .passes import lower_to_eval, optimize
 from .pool import BufferPool
 
@@ -319,8 +320,9 @@ class LiveEvalModel:
     serves every epoch of in-training evaluation, tracking in-place weight
     updates and the running batch-norm statistics automatically.  The
     interface mirrors ``CompiledModel`` (``__call__``/``predict``/
-    ``value_and_grad``) with per-batch eager fallback; a changed channel
-    mask or reallocated parameter storage invalidates the cached plans.
+    ``value_and_grad``/``vjp``/``jacobian``) with per-batch eager fallback;
+    a changed channel mask or reallocated parameter storage invalidates the
+    cached plans.
     """
 
     def __init__(self, module, max_plans: int = 8, provider: Optional[str] = None) -> None:
@@ -387,23 +389,29 @@ class LiveEvalModel:
         # hook batch replays a plan.
         return self._cache.lookup(arr)
 
-    def __call__(self, x) -> np.ndarray:
-        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+    def _replay(self, arr: np.ndarray, replay, eager):
+        """``replay(plan)`` over a live plan for ``arr``, else ``eager()`` in eval mode."""
         plan = self._plan_for(arr)
         if plan is not None:
             try:
-                return plan.forward(arr)
+                return replay(plan)
             except CompileError:  # e.g. parameter storage reallocated
                 self._cache.evict(arr)
-        from ..nn.tensor import no_grad
-
         was_training = self.module.training
         self.module.eval()
         try:
-            with no_grad():
-                return self.module.forward(Tensor(arr)).data
+            return eager()
         finally:
             self.module.train(was_training)
+
+    def __call__(self, x) -> np.ndarray:
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+
+        def eager():
+            with no_grad():
+                return self.module.forward(Tensor(arr)).data
+
+        return self._replay(arr, lambda plan: plan.forward(arr), eager)
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self(x), axis=1)
@@ -413,21 +421,28 @@ class LiveEvalModel:
             raise ValueError(f"unknown compiled loss '{loss}'; supported: 'ce'")
         arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        plan = self._plan_for(arr)
-        if plan is not None:
-            try:
-                return plan.value_and_grad_ce(arr, labels)
-            except CompileError:
-                self._cache.evict(arr)
-        was_training = self.module.training
-        self.module.eval()
-        try:
+
+        def eager():
             x_t = Tensor(arr, requires_grad=True)
             loss_t = F.cross_entropy(self.module.forward(x_t), labels)
             loss_t.backward()
             return float(loss_t.item()), x_t.grad
-        finally:
-            self.module.train(was_training)
+
+        return self._replay(arr, lambda plan: plan.value_and_grad_ce(arr, labels), eager)
+
+    def vjp(self, x, seed_fn) -> Tuple[np.ndarray, np.ndarray]:
+        """Mirrors :meth:`CompiledModel.vjp` over a live-parameter plan."""
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+        return self._replay(
+            arr, lambda plan: plan.vjp(arr, seed_fn), lambda: eager_vjp(self.module, arr, seed_fn)
+        )
+
+    def jacobian(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """Mirrors :meth:`CompiledModel.jacobian` over a live-parameter plan."""
+        arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=get_default_dtype())
+        return self._replay(
+            arr, lambda plan: plan.jacobian(arr), lambda: eager_jacobian(self.module, arr)
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -122,12 +122,12 @@ class ExperimentSpec:
         cached checkpoints.
     provider:
         Kernel-provider name for compiled plans
-        (:mod:`repro.compile.backends`): ``"numpy"`` (default), ``"threaded"``,
-        or ``"numba"`` when available.  Applied through a ``use_provider``
-        scope around training and evaluation, so it only matters for specs
-        that compile.  Like ``train_compile``, it joins the hashed payloads
-        only when non-default, keeping every pre-existing spec hash (and
-        cached checkpoint/report) stable.
+        (:mod:`repro.compile.backends`): ``"numpy"`` (default) or
+        ``"threaded"``.  Applied through a ``use_provider`` scope around
+        training and evaluation, so it only matters for specs that compile.
+        Like ``train_compile``, it joins the hashed payloads only when
+        non-default, keeping every pre-existing spec hash (and cached
+        checkpoint/report) stable.
     name:
         Display label for tables; **excluded** from both content hashes.
     """

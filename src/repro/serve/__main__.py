@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--provider",
         default=None,
-        help="kernel provider for compiled plans (numpy, threaded, numba; "
+        help="kernel provider for compiled plans (numpy or threaded; "
         "default: $REPRO_PROVIDER or numpy)",
     )
     parser.add_argument(

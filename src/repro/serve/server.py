@@ -14,12 +14,14 @@ Request kinds:
   coalesced: chunks from different requests share one padded bucket batch
   and one compiled plan replay.
 * ``attack`` — adversarial examples under one :class:`AttackSpec`.
-  Coalesced only for per-example-deterministic specs (FGSM, NIFGSM,
-  MIFGSM, CW, DeepFool, PGD with ``random_start=False``); per-batch
-  randomness (random-start PGD, FAB) makes results depend on batch
-  composition, so those run as whole per-request jobs with the documented
+  Coalesced only for the deterministic sign-step specs (FGSM, NIFGSM,
+  MIFGSM, PGD with ``random_start=False``).  Everything else runs as a
+  whole per-request job at the request's own shape, with the documented
   semantics ``spec.build(model).attack(images, labels)`` on a fresh
-  instance.
+  instance: per-batch randomness (random-start PGD, FAB) depends on batch
+  composition, and CW and DeepFool carry raw gradient values from step to
+  step, so the last bits a padded batch shape changes would reach their
+  adversarials.
 * ``robustness`` — a full :func:`repro.evaluation.evaluate_robustness`
   suite, read-through-cached in the :class:`ArtifactStore` by
   ``(checkpoint hash, suite, options, data digest)``.
@@ -39,12 +41,15 @@ a store, each serve session persists a RunRecord on :meth:`stop` (see
 :mod:`repro.obs.records`).
 
 Byte-identity contract: coalescing, padding and request interleaving never
-change a request's results — every kernel in the stack is row-independent,
-so a request's rows compute identically inside any padded batch (the
-property tests in ``tests/serve`` assert bitwise equality against the
-offline engine).  Dropping expired co-riders from a batch preserves it too:
-the survivors are re-padded to the smallest fitting bucket, which is the
-same row-independent computation the offline engine performs.
+change a request's results.  The kernels are row-independent in exact
+arithmetic, but a plan's last bits depend on its batch size (BLAS blocks
+GEMMs by the batch dimension), so only work that absorbs those bits is
+coalesced: argmax predictions and attacks that step along the gradient's
+sign.  Attacks that carry raw gradient values (CW's Adam state, DeepFool's
+steps) run whole at the request's own shape.  The property tests in
+``tests/serve`` assert bitwise equality against the offline engine.
+Dropping expired co-riders from a batch preserves it too: the survivors
+are re-padded to the smallest fitting bucket.
 """
 
 from __future__ import annotations
@@ -75,8 +80,10 @@ from .telemetry import ServerStats
 
 __all__ = ["RobustnessServer", "is_coalescable", "start_socket_server"]
 
-#: attacks whose per-example results are independent of batch composition.
-_COALESCABLE_ATTACKS = frozenset({"fgsm", "nifgsm", "mifgsm", "cw", "deepfool"})
+#: attacks whose per-example results are independent of batch composition:
+#: deterministic, and stepping along the gradient's sign, which absorbs the
+#: last-bit differences between plan batch sizes.
+_COALESCABLE_ATTACKS = frozenset({"fgsm", "nifgsm", "mifgsm"})
 
 #: evaluate_robustness keywords a robustness request may override.
 _ROBUSTNESS_OPTIONS = frozenset({"batch_size", "early_exit", "cascade", "compile"})
@@ -86,10 +93,13 @@ def is_coalescable(spec: AttackSpec) -> bool:
     """Whether batches of this attack may mix examples from many requests.
 
     True exactly when the attack perturbs each example independently of the
-    rest of its batch *and* draws no randomness: FGSM / NIFGSM / MIFGSM /
-    CW / DeepFool always, PGD only with ``random_start=False``.  Random
-    draws are batch-shaped, so a stochastic attack coalesced with strangers
-    would return different bytes than the same request served alone.
+    rest of its batch, draws no randomness and steps along the gradient's
+    sign: FGSM / NIFGSM / MIFGSM always, PGD only with
+    ``random_start=False``.  Random draws are batch-shaped, so a stochastic
+    attack coalesced with strangers would return different bytes than the
+    same request served alone.  CW and DeepFool are deterministic but feed
+    raw gradient values forward, so the last-bit differences between plan
+    batch sizes would reach their adversarials.
     """
     if spec.name in _COALESCABLE_ATTACKS:
         return True
@@ -608,9 +618,16 @@ class RobustnessServer:
     def _run_single_attack(
         self, worker_id: int, request: _PendingRequest
     ) -> Dict[str, Any]:
-        """A stochastic attack request, served whole (unpadded, fresh instance)."""
+        """A non-coalescable attack request, served whole (unpadded, fresh instance).
+
+        The request's own signature is warmed first, so every step replays
+        one plan whatever this worker served before (a first sighting would
+        otherwise run its first step eagerly, and eager and plan results
+        differ in the last bits).
+        """
         entry = self.pool.get(request.model_id)
         view = entry.view(worker_id, request.images, self.buckets)
+        view.warm([request.images])
         attack = request.spec.build(entry.module).use_compiled(view)
         adversarial = attack.attack(request.images, request.labels)
         predictions = view.predict(adversarial)

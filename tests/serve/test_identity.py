@@ -2,12 +2,15 @@
 
 The server's contract: results are byte-identical to the offline compiled
 engine **regardless of how requests were coalesced, padded or interleaved**.
-Every kernel in the stack is per-example row-independent, so a request's
-rows compute the same bytes inside any padded bucket batch.  This test
-fires a randomized mix of classify and deterministic-attack requests from
-several threads in randomized arrival orders (so batches mix chunks from
-different requests non-deterministically) and checks every response
-bitwise against serially-computed offline references.
+A plan's logits can differ in the last bits between batch sizes, so only
+work that absorbs those bits is coalesced into padded bucket batches
+(predictions and the sign-step attacks); CW, which carries raw gradient
+values through Adam, is served whole at the request's own shape, and its
+reference runs the same way offline.  This test fires a randomized mix of
+classify and deterministic-attack requests from several threads in
+randomized arrival orders (so batches mix chunks from different requests
+non-deterministically) and checks every response bitwise against
+serially-computed offline references.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import pytest
 
 from repro.attacks.engine import AttackSpec
 from repro.compile import compile_model
-from repro.serve import RobustnessServer, ServeClient
+from repro.compile.training import LiveEvalModel
+from repro.serve import RobustnessServer, ServeClient, is_coalescable
 
 BUCKETS = (4, 8, 16)
 
@@ -28,6 +32,7 @@ SPECS = [
     AttackSpec("fgsm", dict(eps=8 / 255)),
     AttackSpec("pgd", dict(eps=8 / 255, alpha=2 / 255, steps=3, random_start=False)),
     AttackSpec("nifgsm", dict(eps=8 / 255, alpha=2 / 255, steps=3)),
+    AttackSpec("cw", dict(steps=3)),
 ]
 
 
@@ -48,9 +53,15 @@ def offline_references(model, requests, image_shape):
                 padded[: len(chunk)] = chunk
                 parts.append(compiled.predict(padded)[: len(chunk)].copy())
             references.append(np.concatenate(parts))
-        else:
+        elif is_coalescable(spec):
             attack = spec.build(model).use_compiled(compiled)
             references.append(attack.attack(images, labels))
+        else:
+            # Served whole through the registered module's live view, with
+            # the request's own signature warmed.
+            view = LiveEvalModel(model)
+            view.warm([images])
+            references.append(spec.build(model).use_compiled(view).attack(images, labels))
     return references
 
 

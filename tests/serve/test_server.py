@@ -93,7 +93,8 @@ class TestAttack:
     def test_pgd_without_random_start_coalesces(self):
         spec = AttackSpec("pgd", dict(random_start=False))
         assert is_coalescable(spec)
-        assert is_coalescable(AttackSpec("cw"))
+        assert not is_coalescable(AttackSpec("cw"))
+        assert not is_coalescable(AttackSpec("deepfool"))
         assert not is_coalescable(AttackSpec("fab"))
 
 
